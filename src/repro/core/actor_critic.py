@@ -201,36 +201,44 @@ class EnsembleCritic:
         ``d(E[Q_i] + beta1*sigma[Q_i]) / dx``.  The sigma term's gradient is
         ``beta1 * sum_i (Q_i - mean) * dQ_i/dx / (ensemble * sigma)``.
         """
-        designs = np.atleast_2d(designs)
-        batch = designs.shape[0]
-        predictions = self.base_predictions(designs)  # (ensemble, batch)
-        mean = predictions.mean(axis=0)
-        std = predictions.std(axis=0)
-        ensemble = self.ensemble_size
-
-        gradient = np.zeros_like(designs, dtype=float)
-        ones = np.ones((batch, 1))
-        for index, model in enumerate(self.base_models):
-            # Re-run a cached forward pass so input_gradient has activations.
-            model.network.forward(designs, cache=True)
-            base_grad = model.network.input_gradient(ones)
-            weight = np.full(batch, 1.0 / ensemble)
-            if ensemble > 1 and self.beta1 != 0.0:
-                safe_std = np.where(std > 1e-12, std, np.inf)
-                weight = weight + self.beta1 * (
-                    (predictions[index] - mean) / (ensemble * safe_std)
-                )
-            gradient += base_grad * weight[:, None]
-        return gradient
+        return self._bound_and_gradient(designs)[1]
 
     def actor_loss_gradient(
         self, actions: np.ndarray, target: float = FEASIBLE_REWARD
     ) -> Tuple[float, np.ndarray]:
         """Loss ``MSE(target, Q(actions))`` and its gradient w.r.t. actions."""
         actions = np.atleast_2d(actions)
-        bound = self.predict(actions)
+        bound, dbound_daction = self._bound_and_gradient(actions)
         error = bound - target
         loss = float(np.mean(error**2))
         dloss_dbound = 2.0 * error / actions.shape[0]
-        dbound_daction = self.bound_gradient(actions)
         return loss, dbound_daction * dloss_dbound[:, None]
+
+    def _bound_and_gradient(self, designs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The bound of :meth:`predict` and its input gradient, one forward each.
+
+        Every base model runs one cached forward pass; its predictions feed
+        the bound and its activations feed ``input_gradient``.
+        """
+        designs = np.atleast_2d(designs)
+        batch = designs.shape[0]
+        predictions = np.stack(
+            [model.network.forward(designs, cache=True)[:, 0] for model in self.base_models]
+        )  # (ensemble, batch)
+        mean = predictions.mean(axis=0)
+        std = predictions.std(axis=0)
+        ensemble = self.ensemble_size
+        bound = mean if ensemble == 1 else mean + self.beta1 * std
+
+        weights = np.full((ensemble, batch), 1.0 / ensemble)
+        if ensemble > 1 and self.beta1 != 0.0:
+            safe_std = np.where(std > 1e-12, std, np.inf)
+            weights = weights + self.beta1 * (
+                (predictions - mean) / (ensemble * safe_std)
+            )
+        gradient = np.zeros_like(designs, dtype=float)
+        ones = np.ones((batch, 1))
+        for model, weight in zip(self.base_models, weights):
+            base_grad = model.network.input_gradient(ones)
+            gradient += base_grad * weight[:, None]
+        return bound, gradient

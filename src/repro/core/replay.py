@@ -9,12 +9,19 @@ Two buffers appear in Fig. 2 of the paper:
   worst reward observed there — it is used both to pick the worst corner for
   the next optimization step and to order corners at the start of
   verification (Algorithm 2 sorts ``T`` by it).
+
+The worst-case buffer keeps its experiences in two preallocated arrays, a
+``(capacity, *design_shape)`` design block (allocated on the first
+``add``, which fixes the design shape) and a ``(capacity,)`` reward
+vector.  Writes fill slots ``0, 1, ...`` and, once the buffer is full,
+overwrite them oldest-first as a FIFO ring, so a batch is one
+``rng.choice`` over the filled slots and one fancy-index gather.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -36,48 +43,60 @@ class WorstCaseReplayBuffer:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self._capacity = capacity
-        self._storage: List[Transition] = []
+        self._designs: Optional[np.ndarray] = None
+        self._rewards = np.empty(capacity)
+        self._size = 0
         self._cursor = 0
 
     def __len__(self) -> int:
-        return len(self._storage)
+        return self._size
 
     @property
     def capacity(self) -> int:
         return self._capacity
 
     def add(self, design: np.ndarray, reward: float) -> None:
-        transition = Transition(np.array(design, dtype=float, copy=True), float(reward))
-        if len(self._storage) < self._capacity:
-            self._storage.append(transition)
-        else:
-            self._storage[self._cursor] = transition
-            self._cursor = (self._cursor + 1) % self._capacity
+        design = np.asarray(design, dtype=float)
+        if self._designs is None:
+            self._designs = np.empty((self._capacity,) + design.shape)
+        self._designs[self._cursor] = design
+        self._rewards[self._cursor] = float(reward)
+        self._cursor = (self._cursor + 1) % self._capacity
+        self._size = min(self._size + 1, self._capacity)
 
     def sample(
         self, batch_size: int, rng: Optional[np.random.Generator] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """A random batch (with replacement when the buffer is small)."""
-        if not self._storage:
+        if not self._size:
             raise ValueError("cannot sample from an empty buffer")
         rng = rng if rng is not None else np.random.default_rng()
-        replace = len(self._storage) < batch_size
-        indices = rng.choice(len(self._storage), size=batch_size, replace=replace)
-        designs = np.stack([self._storage[i].design for i in indices])
-        rewards = np.array([self._storage[i].reward for i in indices])
-        return designs, rewards
+        replace = self._size < batch_size
+        indices = rng.choice(self._size, size=batch_size, replace=replace)
+        return self._designs[indices], self._rewards[indices]
 
     def best(self) -> Transition:
-        """The stored transition with the highest worst-case reward."""
-        if not self._storage:
+        """The stored transition with the highest worst-case reward.
+
+        Ties go to the lowest slot.  NaN rewards never win, except in slot
+        0, which is kept when it holds NaN (``max`` over the slots in
+        order, comparing rewards with ``>``).
+        """
+        if not self._size:
             raise ValueError("buffer is empty")
-        return max(self._storage, key=lambda t: t.reward)
+        rewards = self._rewards[: self._size]
+        index = 0 if np.isnan(rewards[0]) else int(np.nanargmax(rewards))
+        return Transition(self._designs[index].copy(), float(rewards[index]))
 
     def all_designs(self) -> np.ndarray:
-        return np.stack([t.design for t in self._storage])
+        """Stored designs in slot order (a copy)."""
+        if not self._size:
+            raise ValueError("buffer is empty")
+        return self._designs[: self._size].copy()
 
     def all_rewards(self) -> np.ndarray:
-        return np.array([t.reward for t in self._storage])
+        """Stored rewards in slot order (a copy)."""
+        return self._rewards[: self._size].copy()
 
 
 class LastWorstCaseBuffer:

@@ -120,3 +120,54 @@ class TestEnsembleCritic:
         stepped = actions - 0.05 * grad / (np.linalg.norm(grad) + 1e-12)
         new_loss, _ = critic.actor_loss_gradient(stepped, target=FEASIBLE_REWARD)
         assert new_loss <= loss + 1e-9
+
+
+def _reference_bound_gradient(critic: EnsembleCritic, designs: np.ndarray) -> np.ndarray:
+    """The per-model bound gradient: a fresh cached forward per base model."""
+    batch = designs.shape[0]
+    predictions = critic.base_predictions(designs)
+    mean = predictions.mean(axis=0)
+    std = predictions.std(axis=0)
+    ensemble = critic.ensemble_size
+    gradient = np.zeros_like(designs, dtype=float)
+    ones = np.ones((batch, 1))
+    for index, model in enumerate(critic.base_models):
+        model.network.forward(designs, cache=True)
+        base_grad = model.network.input_gradient(ones)
+        weight = np.full(batch, 1.0 / ensemble)
+        if ensemble > 1 and critic.beta1 != 0.0:
+            safe_std = np.where(std > 1e-12, std, np.inf)
+            weight = weight + critic.beta1 * (
+                (predictions[index] - mean) / (ensemble * safe_std)
+            )
+        gradient += base_grad * weight[:, None]
+    return gradient
+
+
+class TestSharedCriticForward:
+    """``actor_loss_gradient`` runs one forward per base model and must
+    equal, bit for bit, ``predict`` followed by the per-model gradient."""
+
+    @pytest.mark.parametrize("ensemble_size", [1, 3, 5])
+    @pytest.mark.parametrize("beta1", [0.0, -3.0])
+    def test_matches_predict_then_bound_gradient(self, rng, ensemble_size, beta1):
+        critic = EnsembleCritic(4, ensemble_size=ensemble_size, beta1=beta1, rng=rng)
+        buffer = WorstCaseReplayBuffer()
+        for _ in range(40):
+            design = rng.uniform(size=4)
+            buffer.add(design, float(np.cos(design.sum())))
+        for _ in range(3):
+            critic.train(buffer, batch_size=8, rng=rng)
+        actions = rng.uniform(size=(10, 4))
+
+        bound = critic.predict(actions)
+        error = bound - FEASIBLE_REWARD
+        expected_loss = float(np.mean(error**2))
+        dloss_dbound = 2.0 * error / actions.shape[0]
+        reference = _reference_bound_gradient(critic, actions)
+        expected_grad = reference * dloss_dbound[:, None]
+
+        loss, grad = critic.actor_loss_gradient(actions, target=FEASIBLE_REWARD)
+        assert loss == expected_loss
+        assert np.array_equal(grad, expected_grad)
+        assert np.array_equal(critic.bound_gradient(actions), reference)

@@ -119,3 +119,88 @@ class TestMlpTraining:
     def test_minimum_two_layer_sizes(self):
         with pytest.raises(ValueError):
             MultiLayerPerceptron([4])
+
+
+class _ReferenceAdam:
+    """Per-array Adam: one moment pair and one update per parameter array."""
+
+    def __init__(self, network, learning_rate=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.network = network
+        self.learning_rate = learning_rate
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.epsilon = epsilon
+        self.first = [np.zeros_like(p) for p in network.parameters()]
+        self.second = [np.zeros_like(p) for p in network.parameters()]
+        self.count = 0
+
+    def step(self):
+        self.count += 1
+        pairs = zip(self.network.parameters(), self.network.gradients())
+        for index, (param, grad) in enumerate(pairs):
+            m = self.first[index]
+            v = self.second[index]
+            m[...] = self.beta1 * m + (1.0 - self.beta1) * grad
+            v[...] = self.beta2 * v + (1.0 - self.beta2) * grad**2
+            m_hat = m / (1.0 - self.beta1**self.count)
+            v_hat = v / (1.0 - self.beta2**self.count)
+            param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+
+
+def _regression_step(network, optimizer, inputs, targets):
+    predictions = network.forward(inputs, cache=True)
+    network.zero_grad()
+    network.backward(2.0 * (predictions - targets) / predictions.shape[0])
+    optimizer.step()
+
+
+class TestFlatBuffers:
+    def test_flat_adam_matches_per_array_reference(self):
+        flat = MultiLayerPerceptron([5, 16, 16, 2], rng=np.random.default_rng(7))
+        reference = MultiLayerPerceptron([5, 16, 16, 2], rng=np.random.default_rng(7))
+        flat_adam = AdamOptimizer(flat, learning_rate=3e-3)
+        reference_adam = _ReferenceAdam(reference, learning_rate=3e-3)
+        data = np.random.default_rng(8)
+        for _ in range(200):
+            inputs = data.normal(size=(10, 5))
+            targets = data.normal(size=(10, 2))
+            _regression_step(flat, flat_adam, inputs, targets)
+            _regression_step(reference, reference_adam, inputs, targets)
+            for mine, theirs in zip(flat.parameters(), reference.parameters()):
+                assert np.array_equal(mine, theirs)
+
+    @staticmethod
+    def _assert_views(network):
+        flat_params = np.concatenate([p.ravel() for p in network.parameters()])
+        flat_grads = np.concatenate([g.ravel() for g in network.gradients()])
+        assert np.array_equal(flat_params, network.flat_parameters)
+        assert np.array_equal(flat_grads, network.flat_gradients)
+        for layer in network.layers:
+            for array in (layer.weights, layer.bias):
+                assert np.shares_memory(array, network.flat_parameters)
+            for array in (layer.grad_weights, layer.grad_bias):
+                assert np.shares_memory(array, network.flat_gradients)
+
+    def test_layer_arrays_are_views_of_flat_buffers(self, rng):
+        network = MultiLayerPerceptron([3, 8, 4, 1], rng=rng)
+        self._assert_views(network)
+        network.forward(rng.normal(size=(6, 3)), cache=True)
+        network.backward(np.ones((6, 1)))
+        assert np.any(network.flat_gradients != 0)
+        self._assert_views(network)
+        AdamOptimizer(network).step()
+        self._assert_views(network)
+        network.zero_grad()
+        assert not np.any(network.flat_gradients)
+        self._assert_views(network)
+
+    def test_views_survive_copy_weights_from(self, rng):
+        a = MultiLayerPerceptron([2, 4, 1], rng=rng)
+        b = MultiLayerPerceptron([2, 4, 1], rng=rng)
+        b.copy_weights_from(a)
+        self._assert_views(b)
+        assert np.array_equal(a.flat_parameters, b.flat_parameters)
+        assert not np.shares_memory(a.flat_parameters, b.flat_parameters)
+        # Writes through the layer views land in the flat buffer.
+        b.layers[0].weights[0, 0] += 1.0
+        assert b.flat_parameters[0] == a.flat_parameters[0] + 1.0
